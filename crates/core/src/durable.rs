@@ -28,7 +28,7 @@
 //! The full recovery algorithm, the WAL record format and the fsync
 //! trade-off table live in the "Durability" section of `RECOVERY.md`.
 
-use crate::incremental::{ApplyOutcome, BuildError, IncrementalEngine};
+use crate::incremental::{apply_validated, ApplyOutcome, BuildError, IncrementalEngine};
 use crate::service::{MatchService, PatternId, ServiceApply, ServiceError};
 use igpm_graph::io::IoError;
 use igpm_graph::shard::configured_shards;
@@ -507,7 +507,8 @@ impl<E: IncrementalEngine> DurableIndex<E> {
 
     /// Durably applies one batch: validate against the current graph, append
     /// to the WAL (syncing per the fsync policy), then run the engine's
-    /// transactional `try_apply_batch`. Auto-checkpoints afterwards when
+    /// transactional batch — the same containment as `try_apply_batch`,
+    /// without validating a second time. Auto-checkpoints afterwards when
     /// [`DurableOptions::checkpoint_every`] is due.
     ///
     /// An invalid batch is rejected *before* it is logged — the WAL holds
@@ -534,7 +535,9 @@ impl<E: IncrementalEngine> DurableIndex<E> {
         let seq = self.seq + 1;
         self.wal.append(seq, batch)?;
         self.seq = seq;
-        match self.index.try_apply_batch_with_shards(&mut self.graph, batch, self.opts.shards) {
+        // Validated above (the WAL holds validated batches only): straight
+        // to the batch driver, without a second validation pass.
+        match apply_validated(&mut self.index, &mut self.graph, batch, self.opts.shards) {
             Ok(outcome) => {
                 self.deltas
                     .lock()
@@ -919,15 +922,16 @@ impl<E: IncrementalEngine> DurableMatchService<E> {
 
     /// Durably applies one batch to every registered pattern: validate once
     /// against the current graph, append to the WAL **once**, then run the
-    /// service's shared-classification apply. The returned [`ServiceApply`]
+    /// service's apply past its own validation. The returned [`ServiceApply`]
     /// carries every pattern's outcome; the `Ok` deltas are published as one
     /// pattern-keyed bundle at the batch's sequence number.
     ///
     /// A per-pattern `Err` outcome (contained pipeline panic) does **not**
     /// fail the batch: the graph and every other pattern committed it, the
     /// poisoned pattern's delta is absent from the bundle, and
-    /// [`DurableMatchService::recover_pattern`] restores it. Only a
-    /// shared-stage panic after the append fails the batch as a whole —
+    /// [`DurableMatchService::recover_pattern`] restores it. Only a panic
+    /// in the service-wide stages (planning, reduction, shared mutation)
+    /// after the append fails the batch as a whole —
     /// the log is then ahead of memory and the service turns
     /// [`ApplyError::Poisoned`] until [`DurableMatchService::recover`].
     ///
@@ -945,7 +949,7 @@ impl<E: IncrementalEngine> DurableMatchService<E> {
         let seq = self.seq + 1;
         self.wal.append(seq, batch)?;
         self.seq = seq;
-        match self.service.apply(batch) {
+        match self.service.apply_validated(batch) {
             Ok(apply) => {
                 self.deltas.lock().expect("delta ring lock").publish(seq, service_payload(&apply));
                 if self.opts.checkpoint_every > 0

@@ -37,9 +37,8 @@
 use crate::bounded::evaluate_pair_bounds;
 use crate::incremental::sim::MAX_PATTERN_NODES;
 use crate::incremental::{
-    finalize_delta, panic_message, strip_out_of_range, unwrap_apply, ApplyOutcome, BuildError,
-    CacheOp, DeltaTracker, IncrementalEngine, LenientApply, PipelineStage, SharedBatch,
-    SharedMutation,
+    self, contain_pattern_panic, finalize_delta, ApplyOutcome, BuildError, CacheOp, DeltaTracker,
+    IncrementalEngine, LenientApply, PipelineStage, SharedBatch, SharedMutation,
 };
 use crate::simulation::candidates_with_shards;
 use crate::stats::AffStats;
@@ -50,13 +49,11 @@ use igpm_graph::hash::{FastHashMap, FastHashSet};
 use igpm_graph::shard::{
     configured_shards, ShardPlan, PARALLEL_EVAL_THRESHOLD, PARALLEL_WORK_THRESHOLD,
 };
-use igpm_graph::update::{validate_batch, StagePanic};
 use igpm_graph::{
     ApplyError, BatchUpdate, DataGraph, MatchDelta, MatchRelation, NodeId, Pattern, PatternEdge,
     PatternNodeId, ResultGraph, StronglyConnectedComponents, Update,
 };
 use std::cell::{Ref, RefCell};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Auxiliary state for incremental bounded simulation over one b-pattern.
@@ -497,8 +494,7 @@ impl BoundedIndex {
         batch: &BatchUpdate,
         shards: usize,
     ) -> ApplyOutcome {
-        let lenient = unwrap_apply(self.apply_batch_lenient_with_shards(graph, batch, shards));
-        ApplyOutcome { stats: lenient.stats, delta: lenient.delta }
+        incremental::apply_or_panic(self, graph, batch, shards)
     }
 
     /// The canonical fallible batch application: validates `batch` against
@@ -525,14 +521,7 @@ impl BoundedIndex {
         batch: &BatchUpdate,
         shards: usize,
     ) -> Result<ApplyOutcome, ApplyError> {
-        if self.poisoned {
-            return Err(ApplyError::Poisoned);
-        }
-        let rejections = validate_batch(graph, batch);
-        if !rejections.is_empty() {
-            return Err(ApplyError::InvalidBatch(rejections));
-        }
-        self.apply_batch_contained(graph, batch, shards)
+        IncrementalEngine::try_apply_batch_with_shards(self, graph, batch, shards)
     }
 
     /// The explicit *lossy* batch application: out-of-range updates are
@@ -556,138 +545,7 @@ impl BoundedIndex {
         batch: &BatchUpdate,
         shards: usize,
     ) -> Result<LenientApply, ApplyError> {
-        if self.poisoned {
-            return Err(ApplyError::Poisoned);
-        }
-        // Rejections are positioned against the ORIGINAL batch; the strip
-        // below changes the layout the engine sees but not the report.
-        let rejections = validate_batch(graph, batch);
-        let outcome = match strip_out_of_range(batch, &rejections) {
-            Some(stripped) => self.apply_batch_contained(graph, &stripped, shards)?,
-            None => self.apply_batch_contained(graph, batch, shards)?,
-        };
-        Ok(LenientApply { stats: outcome.stats, delta: outcome.delta, rejected: rejections })
-    }
-
-    /// Runs the batch pipeline under `catch_unwind` and converts an unwind
-    /// into rollback-or-poison (see [`BoundedIndex::contain_batch_panic`]).
-    /// The scoped worker threads of the sharded stages funnel their panics
-    /// through their join handles, so one containment point covers the
-    /// sequential and the fanned-out engines alike.
-    fn apply_batch_contained(
-        &mut self,
-        graph: &mut DataGraph,
-        batch: &BatchUpdate,
-        shards: usize,
-    ) -> Result<ApplyOutcome, ApplyError> {
-        let mut stage = PipelineStage::Prepare;
-        let mut applied: Vec<Update> = Vec::new();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.apply_batch_stages(graph, batch, shards, &mut stage, &mut applied)
-        }));
-        match outcome {
-            Ok(outcome) => Ok(outcome),
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                Err(ApplyError::StagePanicked(
-                    self.contain_batch_panic(graph, stage, &applied, message),
-                ))
-            }
-        }
-    }
-
-    /// The batch pipeline proper — [`BoundedIndex::apply_batch`]'s
-    /// historical body, annotated with the stage transitions and failpoints
-    /// the containment relies on. Unlike the plain engine, the graph is
-    /// mutated *inside* the `Landmark` stage (`IncLM` applies each effective
-    /// update to the graph as it maintains the distance vectors), so
-    /// `applied` is recorded before that stage begins.
-    fn apply_batch_stages(
-        &mut self,
-        graph: &mut DataGraph,
-        batch: &BatchUpdate,
-        shards: usize,
-        stage: &mut PipelineStage,
-        applied: &mut Vec<Update>,
-    ) -> ApplyOutcome {
-        let mut stats = AffStats { delta_g: batch.len(), ..AffStats::default() };
-        // Delta tracking starts before any match-bit mutation — including the
-        // childless-pattern matches `ensure_node_capacity` grants brand-new
-        // nodes. Insert-only batches take the monotone fast path: inserted
-        // edges can only shorten distances, so bounds only become *more*
-        // satisfiable and the removal side of the tracker provably stays
-        // empty (CALM).
-        let was_match = self.is_match();
-        self.tracker.arm(batch.iter().all(Update::is_insert));
-        // Nodes added since the last index operation join the candidate
-        // pipeline before anything is classified against the batch.
-        self.ensure_node_capacity(graph);
-
-        // Step 0: net-effect reduction on the same shard plan as the plain
-        // engine (`minDelta` step 1, sharded by update source with a
-        // deterministic first-touch merge). `IncLM` would reduce internally
-        // anyway — sequentially; pre-reducing here keeps the effective list
-        // identical (a reduced batch reduces to itself) while running the
-        // reduction on `IGPM_SHARDS` threads for large batches. The distance
-        // maintenance itself stays per-update: distance propagation is
-        // order-dependent, unlike the edge-map mutation.
-        let plan = ShardPlan::new(graph.node_count(), shards);
-        *stage = PipelineStage::Reduce;
-        fail::fire(fail::BSIM_REDUCE);
-        let (effective, _) = igpm_graph::update::reduce_batch_sharded(graph, batch, plan);
-        if effective.is_empty() {
-            return self.finish_apply(stats, was_match);
-        }
-
-        // Step 1: maintain the landmark/distance vectors (IncLM) and collect
-        // the nodes whose distance information changed. The pre-reduced entry
-        // point skips IncLM's internal reduction — the list is already
-        // minimal. The graph mutates here, one update at a time, interleaved
-        // with the distance maintenance.
-        *stage = PipelineStage::Landmark;
-        applied.extend_from_slice(&effective);
-        fail::fire(fail::BSIM_LANDMARK);
-        let mut affected: FastHashSet<NodeId> = FastHashSet::default();
-        let lm_stats =
-            inc_lm_tracked_reduced(&mut self.landmarks, graph, &effective, &mut affected);
-        stats.reduced_delta_g = lm_stats.updates_processed;
-        stats.aux_changes += lm_stats.affected_entries;
-
-        if lm_stats.updates_processed == 0 {
-            return self.finish_apply(stats, was_match);
-        }
-
-        // Step 2: re-evaluate the pairs whose endpoints are affected. The
-        // support counters absorb every pair transition; `1 → 0` transitions
-        // on a matched source seed demotions, `0 → 1` transitions on an
-        // unmatched candidate source seed promotions.
-        *stage = PipelineStage::Refresh;
-        fail::fire(fail::BSIM_REFRESH);
-        let mut demotion_seeds: Vec<(u32, u32)> = Vec::new();
-        let mut promotion_seeds: Vec<(u32, u32)> = Vec::new();
-        self.refresh_pairs(
-            graph,
-            &affected,
-            shards,
-            &mut demotion_seeds,
-            &mut promotion_seeds,
-            &mut stats,
-        );
-
-        // Step 3: repair the match — demotions first, then promotions,
-        // mirroring IncMatch (the SCC-joint pass of the promotion phase runs
-        // sharded on the same plan).
-        if !demotion_seeds.is_empty() {
-            *stage = PipelineStage::Demote;
-            fail::fire(fail::BSIM_DEMOTE);
-            self.process_demotions(&mut demotion_seeds, &mut stats);
-        }
-        if !promotion_seeds.is_empty() || self.has_cycle {
-            *stage = PipelineStage::Promote;
-            fail::fire(fail::BSIM_PROMOTE);
-            self.process_promotions(promotion_seeds, &mut stats, plan);
-        }
-        self.finish_apply(stats, was_match)
+        incremental::apply_lenient(self, graph, batch, shards)
     }
 
     /// Finalises a batch: converts the tracker's raw match-bit flips into the
@@ -720,38 +578,14 @@ impl BoundedIndex {
         ApplyOutcome { stats, delta }
     }
 
-    /// Converts a mid-batch unwind into the transactional contract. The
-    /// graph is *always* rolled back to its pre-batch edge set
-    /// ([`DataGraph::rollback_updates`] tolerates the partially-applied
-    /// states an `IncLM` interruption leaves). The index poisons itself
-    /// unless the panic landed in the `Reduce` stage — the only stage that
-    /// provably touches nothing: from `Landmark` onwards the landmark
-    /// vectors mutate interleaved with the graph, so the pre-batch auxiliary
-    /// state cannot be assumed intact.
-    #[cold]
-    fn contain_batch_panic(
-        &mut self,
-        graph: &mut DataGraph,
-        stage: PipelineStage,
-        applied: &[Update],
-        message: String,
-    ) -> StagePanic {
-        graph.rollback_updates(applied);
-        self.invalidate_cache();
-        self.tracker.reset();
-        let poisoned = !matches!(stage, PipelineStage::Reduce);
-        self.poisoned = poisoned;
-        StagePanic { stage: stage.label(), message, rolled_back: true, poisoned }
-    }
-
-    /// The pattern-dependent pipeline of one service batch (see
-    /// [`IncrementalEngine::try_apply_shared`]). The service has already run
-    /// the net-effect reduction, mutated the graph and maintained the shared
-    /// [`LandmarkIndex`] (`IncLM` runs exactly once per batch no matter how
-    /// many patterns are registered); what remains per pattern is the
-    /// affected-pair refresh and the demotion/promotion drains, fed by the
-    /// affected set the shared maintenance collected. The caller has already
-    /// swapped the shared landmark index into `self.landmarks`.
+    /// The pattern-dependent pipeline of one batch (see
+    /// [`IncrementalEngine::try_apply_shared`]). The batch driver has already
+    /// run the net-effect reduction, mutated the graph and maintained the
+    /// shared [`LandmarkIndex`] (`IncLM` runs exactly once per batch no
+    /// matter how many patterns are registered); what remains per pattern is
+    /// the affected-pair refresh and the demotion/promotion drains, fed by
+    /// the affected set the shared maintenance collected. The caller has
+    /// already swapped the shared landmark index into `self.landmarks`.
     fn apply_shared_stages(
         &mut self,
         graph: &DataGraph,
@@ -761,17 +595,24 @@ impl BoundedIndex {
         stage: &mut PipelineStage,
     ) -> ApplyOutcome {
         let mut stats = AffStats { delta_g: batch.batch_len, ..AffStats::default() };
+        // Delta tracking starts before any match-bit mutation — including the
+        // childless-pattern matches `ensure_node_capacity` grants brand-new
+        // nodes. Insert-only batches take the monotone fast path: inserted
+        // edges can only shorten distances, so bounds only become *more*
+        // satisfiable and the removal side of the tracker provably stays
+        // empty (CALM).
         let was_match = self.is_match();
         self.tracker.arm(batch.monotone);
+        // Nodes added since the last index operation join the candidate
+        // pipeline before anything is classified against the batch.
         self.ensure_node_capacity(graph);
         let plan = ShardPlan::new(graph.node_count(), shards);
 
         if batch.effective.is_empty() {
             return self.finish_apply(stats, was_match);
         }
-        // Mirror the standalone pipeline's accounting: the landmark
-        // maintenance ran once service-wide, so every pattern reports the
-        // same shared reduction/entry counts it would have measured itself.
+        // The landmark maintenance ran once for every pattern, so every
+        // pattern reports its shared reduction/entry counts.
         stats.reduced_delta_g = mutation.updates_processed;
         stats.aux_changes += mutation.affected_entries;
         if mutation.updates_processed == 0 {
@@ -782,6 +623,10 @@ impl BoundedIndex {
             .as_ref()
             .expect("bounded service batches carry the shared affected set");
 
+        // Re-evaluate the pairs whose endpoints are affected. The support
+        // counters absorb every pair transition; `1 → 0` transitions on a
+        // matched source seed demotions, `0 → 1` transitions on an unmatched
+        // candidate source seed promotions.
         *stage = PipelineStage::Refresh;
         fail::fire(fail::BSIM_REFRESH);
         let mut demotion_seeds: Vec<(u32, u32)> = Vec::new();
@@ -795,6 +640,9 @@ impl BoundedIndex {
             &mut stats,
         );
 
+        // Repair the match — demotions first, then promotions, mirroring
+        // IncMatch (the SCC-joint pass of the promotion phase runs sharded
+        // on the same plan).
         if !demotion_seeds.is_empty() {
             *stage = PipelineStage::Demote;
             fail::fire(fail::BSIM_DEMOTE);
@@ -806,20 +654,6 @@ impl BoundedIndex {
             self.process_promotions(promotion_seeds, &mut stats, plan);
         }
         self.finish_apply(stats, was_match)
-    }
-
-    /// Converts a contained panic of the service-mode pipeline into the
-    /// always-poison contract of [`IncrementalEngine::try_apply_shared`]: the
-    /// graph mutation and landmark maintenance are already committed
-    /// service-wide, so the engine is behind the graph even when the panic
-    /// interrupted a stage that had not yet touched the pair sets. Recovery
-    /// rebuilds from the current graph.
-    #[cold]
-    fn contain_shared_panic(&mut self, stage: PipelineStage, message: String) -> StagePanic {
-        self.invalidate_cache();
-        self.tracker.reset();
-        self.poisoned = true;
-        StagePanic { stage: stage.label(), message, rolled_back: false, poisoned: true }
     }
 
     // ------------------------------------------------------------------
@@ -1611,21 +1445,18 @@ impl IncrementalEngine for BoundedIndex {
         self.pattern()
     }
 
-    fn try_apply_batch_with_shards(
-        &mut self,
-        graph: &mut DataGraph,
-        batch: &BatchUpdate,
-        shards: usize,
-    ) -> Result<ApplyOutcome, ApplyError> {
-        BoundedIndex::try_apply_batch_with_shards(self, graph, batch, shards)
-    }
-
     fn try_matches(&self) -> Result<MatchRelation, ApplyError> {
         BoundedIndex::try_matches(self)
     }
 
     fn poisoned(&self) -> bool {
         BoundedIndex::poisoned(self)
+    }
+
+    fn poison(&mut self) {
+        self.invalidate_cache();
+        self.tracker.reset();
+        self.poisoned = true;
     }
 
     /// The landmark/distance index is graph-wide and pattern-independent, so
@@ -1640,6 +1471,26 @@ impl IncrementalEngine for BoundedIndex {
 
     fn shared_stage() -> &'static str {
         PipelineStage::Landmark.label()
+    }
+
+    fn reduce_failpoint() -> &'static str {
+        fail::BSIM_REDUCE
+    }
+
+    /// A standalone index owns its landmark index; an index registered with
+    /// a service holds the empty placeholder between batches.
+    fn take_shared(&mut self) -> LandmarkIndex {
+        std::mem::take(&mut self.landmarks)
+    }
+
+    /// `IncLM` maintains the distance vectors and the graph interleaved per
+    /// update, so a torn landmark index is lost: the index poisons itself
+    /// and recovery rebuilds the landmarks with everything else.
+    fn restore_shared(&mut self, shared: Option<LandmarkIndex>) {
+        match shared {
+            Some(landmarks) => self.landmarks = landmarks,
+            None => self.poison(),
+        }
     }
 
     fn shared_mutate(
@@ -1669,19 +1520,19 @@ impl IncrementalEngine for BoundedIndex {
         if pattern.node_count() > MAX_PATTERN_NODES {
             return Err(BuildError::ArityTooLarge { arity: pattern.node_count() });
         }
-        // The build consumes a `LandmarkIndex` by value; borrow the shared
-        // one by swapping a zero-landmark placeholder in for its duration.
-        // (`Explicit(vec![])` builds no distance vectors — it is free.)
-        let placeholder =
-            LandmarkIndex::build_with_shards(graph, LandmarkSelection::Explicit(Vec::new()), 1);
-        let landmarks = std::mem::replace(shared, placeholder);
+        // The build consumes a `LandmarkIndex` by value: borrow the shared
+        // one for its duration and hand it back. The engine keeps the empty
+        // placeholder and has the shared index swapped in around every
+        // `try_apply_shared` — it never reads distances outside it.
         let owned: Vec<Vec<NodeId>> = cand_lists.iter().map(|l| l.as_ref().clone()).collect();
-        let mut engine =
-            Self::build_with_landmarks_from_candidates(pattern, graph, landmarks, owned, shards);
-        // Hand the real landmark index back to the service; the engine keeps
-        // the placeholder and has the shared index swapped in around every
-        // `try_apply_shared` / never reads distances outside it.
-        std::mem::swap(&mut engine.landmarks, shared);
+        let mut engine = Self::build_with_landmarks_from_candidates(
+            pattern,
+            graph,
+            std::mem::take(shared),
+            owned,
+            shards,
+        );
+        *shared = engine.take_shared();
         Ok(engine)
     }
 
@@ -1693,27 +1544,17 @@ impl IncrementalEngine for BoundedIndex {
         mutation: &SharedMutation,
         shards: usize,
     ) -> Result<ApplyOutcome, ApplyError> {
-        if self.poisoned {
-            return Err(ApplyError::Poisoned);
-        }
         // Swap the shared landmark index in for the duration of the pipeline
         // (the affected-pair refresh queries distances through
         // `self.landmarks`), and back out unconditionally — even after a
         // contained panic the index itself is intact: the pipeline only
         // *reads* it, the one mutation site ran in `shared_mutate`.
         std::mem::swap(&mut self.landmarks, shared);
-        let mut stage = PipelineStage::Prepare;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.apply_shared_stages(graph, batch, mutation, shards, &mut stage)
-        }));
+        let outcome = contain_pattern_panic(self, |index, stage| {
+            index.apply_shared_stages(graph, batch, mutation, shards, stage)
+        });
         std::mem::swap(&mut self.landmarks, shared);
-        match outcome {
-            Ok(outcome) => Ok(outcome),
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                Err(ApplyError::StagePanicked(self.contain_shared_panic(stage, message)))
-            }
-        }
+        outcome
     }
 }
 

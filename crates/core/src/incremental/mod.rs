@@ -31,18 +31,43 @@
 //!   lenient path: identical behaviour for well-formed input, a clean panic
 //!   (with state contained as below) instead of silent corruption otherwise.
 //!
+//! All six batch methods of each engine, [`MatchService`](crate::service::MatchService)
+//! and the durable tiers run **one** batch pipeline (the "batch driver"
+//! section below), the paper's batch `IncMatch` of Fig. 10 split at the
+//! pattern boundary. The service-wide half runs once per batch: plan the
+//! shards, reduce the batch to its net-effective updates (`minDelta`'s
+//! net-effect step), mutate the graph and the pattern-independent shared
+//! state ([`IncrementalEngine::shared_mutate`]: nothing for `sim`, `IncLM`'s
+//! landmark maintenance for `bsim`). The per-pattern half
+//! ([`IncrementalEngine::try_apply_shared`]) runs once per pattern: relevance
+//! classification or pair refresh, then the demotion and promotion drains.
+//! A standalone engine is the service path with one pattern, run against
+//! the graph and shared state it owns.
+//!
 //! A panic *mid-batch* — an armed [`igpm_graph::fail`] failpoint or a real
-//! bug — is caught at the batch boundary (`catch_unwind`; the scoped worker
-//! threads of every sharded stage funnel their panics through their join
-//! handles into the same containment). The containment consults how far the
-//! pipeline got: panics before any mutation leave everything untouched;
-//! panics during graph mutation roll the graph back
-//! ([`igpm_graph::DataGraph::rollback_updates`]) with the auxiliary state
-//! untouched (the index stays usable); panics after auxiliary mutation began
-//! roll the graph back and **poison** the index — reads error with
-//! [`ApplyError::Poisoned`] until `recover()` rebuilds from the graph via
-//! the ordinary sharded build, which is bit-identical to a fresh build by
-//! the build-equivalence invariant.
+//! bug — is caught (`catch_unwind`; the scoped worker threads of every
+//! sharded stage funnel their panics through their join handles into the
+//! same containment), once around the service-wide half and once around
+//! each pattern's half. The graph is always rolled back
+//! ([`igpm_graph::DataGraph::rollback_updates`]) when the batch fails as a
+//! whole. What happens to the index depends on where the panic hit:
+//!
+//! * **reduction** — nothing was touched; the batch is refused, the index
+//!   stays usable (a service: every pattern stays usable);
+//! * **shared mutation** — the graph is rolled back; state that was only
+//!   read stays exact. A service rebuilds its shared state from the rolled
+//!   back graph and poisons nothing; a standalone `sim` stays usable, a
+//!   standalone `bsim` poisons (its own landmark index may be torn);
+//! * **planning** (`Prepare`) — a service refuses the batch; a standalone
+//!   engine poisons, conservatively, like every `Prepare` stage (the
+//!   fault-injection suite pins the `shard.plan` site that fires there);
+//! * **per-pattern stages** — that engine poisons. In a service the graph
+//!   and every other pattern keep the batch; a standalone engine rolls its
+//!   graph back.
+//!
+//! A poisoned index errors with [`ApplyError::Poisoned`] until `recover()`
+//! rebuilds it from the graph via the ordinary sharded build, which is
+//! bit-identical to a fresh build by the build-equivalence invariant.
 //!
 //! The `unwrap`/`expect`/`assert!` occurrences that remain in these engines
 //! fall into two audited classes:
@@ -67,13 +92,18 @@ pub mod bsim;
 pub mod sim;
 
 use crate::stats::AffStats;
+use igpm_graph::fail;
 use igpm_graph::hash::FastHashSet;
-use igpm_graph::update::{RejectReason, UpdateRejection};
+use igpm_graph::shard::ShardPlan;
+use igpm_graph::update::{
+    reduce_batch_sharded, validate_batch, RejectReason, StagePanic, UpdateRejection,
+};
 use igpm_graph::{
     ApplyError, BatchUpdate, DataGraph, MatchDelta, MatchRelation, NodeId, Pattern, PatternNodeId,
     Update,
 };
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// The engine-shaped hole in the recovery machinery: everything an
@@ -110,12 +140,24 @@ pub trait IncrementalEngine: Sized {
     /// *and* the emitted [`MatchDelta`] — the structured `ΔM` stream the
     /// [`DurableIndex`](crate::durable::DurableIndex) re-emits verbatim
     /// during WAL-tail replay.
+    ///
+    /// Provided: a standalone engine runs exactly the service's stages, as
+    /// a service with one registered pattern would (see the module docs).
     fn try_apply_batch_with_shards(
         &mut self,
         graph: &mut DataGraph,
         batch: &BatchUpdate,
         shards: usize,
-    ) -> Result<ApplyOutcome, ApplyError>;
+    ) -> Result<ApplyOutcome, ApplyError> {
+        if self.poisoned() {
+            return Err(ApplyError::Poisoned);
+        }
+        let rejections = validate_batch(graph, batch);
+        if !rejections.is_empty() {
+            return Err(ApplyError::InvalidBatch(rejections));
+        }
+        apply_validated(self, graph, batch, shards)
+    }
 
     /// The current maximum match, or [`ApplyError::Poisoned`].
     fn try_matches(&self) -> Result<MatchRelation, ApplyError>;
@@ -123,6 +165,12 @@ pub trait IncrementalEngine: Sized {
     /// True iff a contained panic tore the auxiliary state and the index
     /// must be recovered before further use.
     fn poisoned(&self) -> bool;
+
+    /// Marks the index poisoned: reads and applies refuse with
+    /// [`ApplyError::Poisoned`] until a recovery rebuilds it. The batch
+    /// driver calls this when a contained panic may have left the index
+    /// behind or torn.
+    fn poison(&mut self);
 
     /// Rebuilds the index from `graph` via the ordinary sharded cold-start
     /// build, clearing the poisoned flag — bit-identical to a fresh build by
@@ -142,7 +190,9 @@ pub trait IncrementalEngine: Sized {
     // auxiliary maintenance) and per-pattern work fanned out to every
     // registered engine. The methods below are that split: `shared_*` run
     // once per batch for the whole service; `build_in_service` /
-    // `try_apply_shared` run once per registered pattern. The contract is
+    // `try_apply_shared` run once per registered pattern. A standalone
+    // engine runs the same split with itself as the only pattern, against
+    // the shared state it owns (`take_shared` / `restore_shared`). The contract is
     // the **shard- and sharing-invariance of outcomes**: for every shard
     // count, a pattern's `ApplyOutcome` from the service path is
     // bit-identical to the outcome an independent single-pattern index —
@@ -168,14 +218,33 @@ pub trait IncrementalEngine: Sized {
     /// (`"mutate"` for plain simulation, `"landmark"` for bounded).
     fn shared_stage() -> &'static str;
 
+    /// The engine's [`igpm_graph::fail`] site fired at the start of the
+    /// once-per-batch net-effect reduction (`sim.reduce` / `bsim.reduce`).
+    fn reduce_failpoint() -> &'static str;
+
+    /// Moves the engine's *own* shared auxiliary state out for one
+    /// standalone batch, leaving a free placeholder: the batch driver runs
+    /// [`shared_mutate`](IncrementalEngine::shared_mutate) and
+    /// [`try_apply_shared`](IncrementalEngine::try_apply_shared) against it
+    /// and hands it back through
+    /// [`restore_shared`](IncrementalEngine::restore_shared). Plain
+    /// simulation owns none; a standalone bounded index owns its
+    /// [`igpm_distance::LandmarkIndex`].
+    fn take_shared(&mut self) -> Self::Shared;
+
+    /// Hands back what [`take_shared`](IncrementalEngine::take_shared)
+    /// moved out — `None` when a panic inside `shared_mutate` may have torn
+    /// it. An engine whose shared state is real poisons itself on `None`.
+    fn restore_shared(&mut self, shared: Option<Self::Shared>);
+
     /// The once-per-batch graph mutation: applies the net-effective updates
     /// to `graph` and maintains `shared` alongside, returning the
     /// [`SharedMutation`] summary every engine's
     /// [`try_apply_shared`](IncrementalEngine::try_apply_shared) consumes.
-    /// Only called with a non-empty `effective` list (the service
-    /// early-finishes empty reductions exactly like the single-engine
-    /// pipelines). Fires the engine's graph-mutation failpoint
-    /// ([`igpm_graph::fail`]), so fault tests can interrupt the shared stage.
+    /// Only called with a non-empty `effective` list (the batch driver
+    /// early-finishes empty reductions). Fires the engine's graph-mutation
+    /// failpoint ([`igpm_graph::fail`]), so fault tests can interrupt the
+    /// shared stage.
     fn shared_mutate(
         shared: &mut Self::Shared,
         graph: &mut DataGraph,
@@ -200,19 +269,21 @@ pub trait IncrementalEngine: Sized {
         shards: usize,
     ) -> Result<Self, BuildError>;
 
-    /// The per-pattern half of a service batch: consumes the shared
-    /// reduction ([`SharedBatch`]) and mutation summary ([`SharedMutation`])
-    /// instead of redoing them, and runs only the pattern-dependent pipeline
-    /// stages against the **already-mutated** graph. Statistics and deltas
-    /// are bit-identical to what the engine's own
+    /// The per-pattern half of a batch: consumes the shared reduction
+    /// ([`SharedBatch`]) and mutation summary ([`SharedMutation`]) instead
+    /// of redoing them, and runs only the pattern-dependent pipeline stages
+    /// against the **already-mutated** graph. The standalone
     /// [`try_apply_batch_with_shards`](IncrementalEngine::try_apply_batch_with_shards)
-    /// would have produced for the original batch.
+    /// runs this very method after the same shared stages, so a service
+    /// pattern and an independent index produce bit-identical statistics
+    /// and deltas.
     ///
-    /// Unlike the single-engine path there is no rollback arm: the graph
-    /// mutation is already committed service-wide, so a contained panic
-    /// **always poisons** this engine (`rolled_back: false`) and never
-    /// touches the graph or the other registered patterns — recovery is
-    /// per-pattern, from the current graph.
+    /// This method never touches the graph: a contained panic **always
+    /// poisons** this engine and reports `rolled_back: false`. In a service
+    /// the graph mutation stays committed for every other pattern and
+    /// recovery is per-pattern, from the current graph; a standalone caller
+    /// owns its graph and rolls it back itself (reporting
+    /// `rolled_back: true`).
     fn try_apply_shared(
         &mut self,
         graph: &DataGraph,
@@ -234,23 +305,22 @@ pub trait IncrementalEngine: Sized {
     }
 }
 
-/// The pattern-independent view of one service batch, computed once and
-/// handed to every registered engine's
-/// [`IncrementalEngine::try_apply_shared`].
+/// The pattern-independent view of one batch, computed once by the batch
+/// driver and handed to every engine's
+/// [`IncrementalEngine::try_apply_shared`] (a service's registered engines,
+/// or the one standalone engine).
 #[derive(Debug, Clone, Copy)]
 pub struct SharedBatch<'a> {
     /// Length of the *original* batch (before reduction) — what each
-    /// engine's [`AffStats::delta_g`] must report, exactly as the
-    /// single-engine path does.
+    /// engine's [`AffStats::delta_g`] must report.
     pub batch_len: usize,
     /// True iff every update of the original batch is an insertion — the
-    /// CALM monotone fast-path trigger, sampled on the original batch like
-    /// the single-engine pipelines sample it.
+    /// CALM monotone fast-path trigger, sampled on the original batch.
     pub monotone: bool,
     /// The net-effective updates in first-touch order: the output of the
     /// shared `minDelta` net-effect reduction
-    /// ([`igpm_graph::reduce_batch_sharded`]), identical to the effective
-    /// list every engine's own reduction stage would produce.
+    /// ([`igpm_graph::reduce_batch_sharded`]), identical for every shard
+    /// count.
     pub effective: &'a [Update],
 }
 
@@ -540,16 +610,18 @@ fn to_pairs(raw: Vec<(u32, u32)>) -> Vec<(PatternNodeId, NodeId)> {
 /// stage whose work (or whose entry failpoint) panicked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PipelineStage {
-    /// Growing per-node arrays / planning shards; auxiliary arrays may be
-    /// mid-growth, the graph is untouched.
+    /// Planning shards (batch driver), or growing per-node arrays and
+    /// classifying (per-pattern half); the graph is untouched by it.
     Prepare,
     /// Net-effect reduction: pure reads, nothing mutated yet.
     Reduce,
-    /// Graph mutation: the graph is (partially) mutated, auxiliary state is
-    /// still pre-batch.
+    /// The shared graph mutation ([`IncrementalEngine::shared_mutate`]):
+    /// the graph is (partially) mutated, per-pattern state is still
+    /// pre-batch. Reported under the engine's
+    /// [`IncrementalEngine::shared_stage`] label.
     Mutate,
-    /// Landmark/distance maintenance (`IncLM`, bounded engine only): graph
-    /// and landmark vectors mutate interleaved.
+    /// The bounded engine's label for its shared mutation: `IncLM` mutates
+    /// the graph and the landmark vectors interleaved.
     Landmark,
     /// Pair re-evaluation (bounded engine only).
     Refresh,
@@ -588,16 +660,199 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+// ----------------------------------------------------------------------
+// The batch driver
+// ----------------------------------------------------------------------
+//
+// One batch pipeline for every caller. `reduce_and_mutate` is the
+// service-wide half (plan, `minDelta` net-effect reduction, graph mutation
+// with the shared auxiliary maintenance) that `MatchService::apply` runs
+// once per batch; `apply_validated` is the standalone engine, which runs
+// that half against its own graph and shared state and then its own
+// `try_apply_shared` — a service with one pattern. The six public batch
+// methods of each engine are one-line delegates of the functions below.
+
+/// A contained panic of [`reduce_and_mutate`]: the stage it interrupted
+/// (`Prepare`, `Reduce`, or `Mutate` for the shared mutation) and its
+/// message. The graph is already back at its pre-batch edge set.
+pub(crate) struct SharedStagePanic {
+    stage: PipelineStage,
+    message: String,
+}
+
+impl SharedStagePanic {
+    /// True iff the panic interrupted
+    /// [`IncrementalEngine::shared_mutate`], which may have torn the shared
+    /// auxiliary state.
+    pub(crate) fn tore_shared(&self) -> bool {
+        self.stage == PipelineStage::Mutate
+    }
+
+    /// The typed report: `rolled_back` always (the graph is pre-batch), the
+    /// caller decides `poisoned`.
+    pub(crate) fn report<E: IncrementalEngine>(self, poisoned: bool) -> StagePanic {
+        let stage = if self.tore_shared() { E::shared_stage() } else { self.stage.label() };
+        StagePanic { stage, message: self.message, rolled_back: true, poisoned }
+    }
+}
+
+/// The service-wide half of one batch, under one `catch_unwind`: plan the
+/// shards (`Prepare`), reduce the batch to its net-effective updates in
+/// first-touch order (`Reduce`, [`reduce_batch_sharded`] — bit-identical
+/// for every shard count) and, unless nothing survives, mutate the graph
+/// and the shared auxiliary state ([`IncrementalEngine::shared_mutate`]).
+/// On a panic the graph is rolled back from the effective list
+/// ([`DataGraph::rollback_updates`] tolerates a partial mutation); repairing
+/// a torn shared state ([`SharedStagePanic::tore_shared`]) is the caller's.
+///
+/// `batch` must be in range (validated, or stripped by the lenient path);
+/// redundant updates are neutralised by the reduction.
+pub(crate) fn reduce_and_mutate<E: IncrementalEngine>(
+    shared: &mut E::Shared,
+    graph: &mut DataGraph,
+    batch: &BatchUpdate,
+    shards: usize,
+) -> Result<(Vec<Update>, SharedMutation), SharedStagePanic> {
+    let mut stage = PipelineStage::Prepare;
+    let mut effective: Vec<Update> = Vec::new();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let plan = ShardPlan::new(graph.node_count(), shards);
+        stage = PipelineStage::Reduce;
+        fail::fire(E::reduce_failpoint());
+        effective = reduce_batch_sharded(graph, batch, plan).0;
+        if effective.is_empty() {
+            return SharedMutation::default();
+        }
+        stage = PipelineStage::Mutate;
+        E::shared_mutate(shared, graph, &effective, shards)
+    }));
+    match outcome {
+        Ok(mutation) => Ok((effective, mutation)),
+        Err(payload) => {
+            graph.rollback_updates(&effective);
+            Err(SharedStagePanic { stage, message: panic_message(payload.as_ref()) })
+        }
+    }
+}
+
+/// One standalone batch after validation: [`reduce_and_mutate`] against the
+/// engine's own graph and shared state, then the engine's own
+/// [`IncrementalEngine::try_apply_shared`]. Same precondition as
+/// [`reduce_and_mutate`]; the durable tier calls this directly after its
+/// own validation.
+///
+/// A contained panic always leaves the graph pre-batch (`rolled_back`).
+/// The index stays usable after a `Reduce` panic, and after a shared
+/// mutation panic when it owns no shared state that could tear (plain
+/// simulation); it poisons otherwise — conservatively also after a
+/// `Prepare` panic, like every `Prepare` stage.
+pub(crate) fn apply_validated<E: IncrementalEngine>(
+    engine: &mut E,
+    graph: &mut DataGraph,
+    batch: &BatchUpdate,
+    shards: usize,
+) -> Result<ApplyOutcome, ApplyError> {
+    if engine.poisoned() {
+        return Err(ApplyError::Poisoned);
+    }
+    let mut shared = engine.take_shared();
+    let (effective, mutation) = match reduce_and_mutate::<E>(&mut shared, graph, batch, shards) {
+        Ok(done) => done,
+        Err(failure) => {
+            engine.restore_shared((!failure.tore_shared()).then_some(shared));
+            if failure.stage == PipelineStage::Prepare {
+                engine.poison();
+            }
+            return Err(ApplyError::StagePanicked(failure.report::<E>(engine.poisoned())));
+        }
+    };
+    let shared_batch = SharedBatch {
+        batch_len: batch.len(),
+        monotone: batch.iter().all(Update::is_insert),
+        effective: &effective,
+    };
+    let outcome = engine.try_apply_shared(graph, &mut shared, &shared_batch, &mutation, shards);
+    engine.restore_shared(Some(shared));
+    outcome.map_err(|error| match error {
+        // The engine poisoned itself and left the graph mutated; a
+        // standalone engine owns its graph, so the batch rolls back whole.
+        ApplyError::StagePanicked(panic) => {
+            graph.rollback_updates(&effective);
+            ApplyError::StagePanicked(StagePanic { rolled_back: true, ..panic })
+        }
+        other => other,
+    })
+}
+
+/// Runs one engine's per-pattern stages ([`IncrementalEngine::try_apply_shared`])
+/// under `catch_unwind`, `stages` advancing the stage as it goes. The graph
+/// mutation is already committed, so a panic leaves the engine behind the
+/// graph whatever stage it hit: the engine poisons itself and the report
+/// says `rolled_back: false`.
+pub(crate) fn contain_pattern_panic<E: IncrementalEngine>(
+    engine: &mut E,
+    stages: impl FnOnce(&mut E, &mut PipelineStage) -> ApplyOutcome,
+) -> Result<ApplyOutcome, ApplyError> {
+    if engine.poisoned() {
+        return Err(ApplyError::Poisoned);
+    }
+    let mut stage = PipelineStage::Prepare;
+    match catch_unwind(AssertUnwindSafe(|| stages(&mut *engine, &mut stage))) {
+        Ok(outcome) => Ok(outcome),
+        Err(payload) => {
+            engine.poison();
+            Err(ApplyError::StagePanicked(StagePanic {
+                stage: stage.label(),
+                message: panic_message(payload.as_ref()),
+                rolled_back: false,
+                poisoned: true,
+            }))
+        }
+    }
+}
+
+/// The lenient standalone batch: out-of-range updates are stripped and
+/// reported at their positions in the *original* batch, redundant ones
+/// are neutralised by the reduction (and reported too).
+pub(crate) fn apply_lenient<E: IncrementalEngine>(
+    engine: &mut E,
+    graph: &mut DataGraph,
+    batch: &BatchUpdate,
+    shards: usize,
+) -> Result<LenientApply, ApplyError> {
+    if engine.poisoned() {
+        return Err(ApplyError::Poisoned);
+    }
+    let rejections = validate_batch(graph, batch);
+    let outcome = match strip_out_of_range(batch, &rejections) {
+        Some(stripped) => apply_validated(engine, graph, &stripped, shards)?,
+        None => apply_validated(engine, graph, batch, shards)?,
+    };
+    Ok(LenientApply { stats: outcome.stats, delta: outcome.delta, rejected: rejections })
+}
+
+/// The infallible standalone batch: the lenient path, re-raising a
+/// contained error as a panic — with the state guarantees of the
+/// containment (rolled back or poisoned) instead of a torn index.
+pub(crate) fn apply_or_panic<E: IncrementalEngine>(
+    engine: &mut E,
+    graph: &mut DataGraph,
+    batch: &BatchUpdate,
+    shards: usize,
+) -> ApplyOutcome {
+    match apply_lenient(engine, graph, batch, shards) {
+        Ok(lenient) => ApplyOutcome { stats: lenient.stats, delta: lenient.delta },
+        Err(error) => panic!("apply_batch: {error}"),
+    }
+}
+
 /// Strips the structurally invalid updates (out-of-range ids) out of `batch`
 /// for the lenient path. Returns `None` when nothing needs stripping — the
 /// caller then applies the original batch unchanged, so the lenient path is
 /// byte-identical to the historical `apply_batch` for well-formed input
 /// (redundant updates are neutralised by the net-effect reduction either
 /// way).
-pub(crate) fn strip_out_of_range(
-    batch: &BatchUpdate,
-    rejections: &[UpdateRejection],
-) -> Option<BatchUpdate> {
+fn strip_out_of_range(batch: &BatchUpdate, rejections: &[UpdateRejection]) -> Option<BatchUpdate> {
     if rejections.iter().all(|r| r.reason != RejectReason::NodeOutOfRange) {
         return None;
     }
@@ -615,14 +870,6 @@ pub(crate) fn strip_out_of_range(
         }
     }
     Some(BatchUpdate::from_updates(kept))
-}
-
-/// Guard used by the infallible `apply_batch` delegates: re-raises a
-/// contained error as a panic, preserving the historical "a bad batch or a
-/// mid-batch bug panics" behaviour — but with the state guarantees of the
-/// containment (rolled back or poisoned) instead of a torn index.
-pub(crate) fn unwrap_apply<T>(result: Result<T, ApplyError>) -> T {
-    result.unwrap_or_else(|error| panic!("apply_batch: {error}"))
 }
 
 /// Phase A of the sharded SCC-joint protocol shared by `sim::prop_cc` and

@@ -46,10 +46,11 @@
 //! ([`igpm_graph::shard`]):
 //!
 //! * the **`minDelta` reduction** shards by update source (all updates
-//!   touching an edge share its source), nets each shard's edges and
-//!   classifies pattern relevance against the frozen masks, then merges
+//!   touching an edge share its source), nets each shard's edges and merges
 //!   deterministically by first-touch batch position — the exact sequential
-//!   output ([`SimulationIndex::apply_batch_with_shards`] docs);
+//!   output ([`igpm_graph::reduce_batch_sharded`], run once per batch by the
+//!   [batch driver](crate::incremental)); each pattern then classifies the
+//!   net-effective updates' relevance against its frozen masks;
 //! * the **graph mutation** applies the reduced batch in two passes on the
 //!   same plan — out-adjacency (and its per-node position map) sharded by
 //!   source, in-adjacency by target
@@ -86,22 +87,19 @@
 //! [`SimulationIndex::build_with_shards`]).
 
 use crate::incremental::{
-    finalize_delta, panic_message, strip_out_of_range, unwrap_apply, ApplyOutcome, BuildError,
-    CacheOp, DeltaTracker, IncrementalEngine, LenientApply, PipelineStage, SharedBatch,
-    SharedMutation,
+    self, contain_pattern_panic, finalize_delta, ApplyOutcome, BuildError, CacheOp, DeltaTracker,
+    IncrementalEngine, LenientApply, PipelineStage, SharedBatch, SharedMutation,
 };
 use crate::simulation::{candidates_with_shards, simulation_result_graph};
 use crate::stats::AffStats;
 use igpm_graph::fail;
 use igpm_graph::hash::FastHashMap;
 use igpm_graph::shard::{configured_shards, ShardPlan, PARALLEL_WORK_THRESHOLD};
-use igpm_graph::update::{net_effective_updates, reduce_batch, validate_batch, StagePanic};
 use igpm_graph::{
     ApplyError, BatchUpdate, DataGraph, MatchDelta, MatchRelation, NodeId, Pattern, PatternNodeId,
     ResultGraph, StronglyConnectedComponents, Update,
 };
 use std::cell::{Ref, RefCell};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Maximum pattern arity representable in the membership bitmasks.
@@ -615,8 +613,7 @@ impl SimulationIndex {
         batch: &BatchUpdate,
         shards: usize,
     ) -> ApplyOutcome {
-        let lenient = unwrap_apply(self.apply_batch_lenient_with_shards(graph, batch, shards));
-        ApplyOutcome { stats: lenient.stats, delta: lenient.delta }
+        incremental::apply_or_panic(self, graph, batch, shards)
     }
 
     /// The canonical fallible batch application: validates `batch` against
@@ -643,14 +640,7 @@ impl SimulationIndex {
         batch: &BatchUpdate,
         shards: usize,
     ) -> Result<ApplyOutcome, ApplyError> {
-        if self.poisoned {
-            return Err(ApplyError::Poisoned);
-        }
-        let rejections = validate_batch(graph, batch);
-        if !rejections.is_empty() {
-            return Err(ApplyError::InvalidBatch(rejections));
-        }
-        self.apply_batch_contained(graph, batch, shards)
+        IncrementalEngine::try_apply_batch_with_shards(self, graph, batch, shards)
     }
 
     /// The explicit *lossy* batch application: out-of-range updates are
@@ -674,126 +664,7 @@ impl SimulationIndex {
         batch: &BatchUpdate,
         shards: usize,
     ) -> Result<LenientApply, ApplyError> {
-        if self.poisoned {
-            return Err(ApplyError::Poisoned);
-        }
-        // Rejections are positioned against the ORIGINAL batch; the strip
-        // below changes the layout the engine sees but not the report.
-        let rejections = validate_batch(graph, batch);
-        let outcome = match strip_out_of_range(batch, &rejections) {
-            Some(stripped) => self.apply_batch_contained(graph, &stripped, shards)?,
-            None => self.apply_batch_contained(graph, batch, shards)?,
-        };
-        Ok(LenientApply { stats: outcome.stats, delta: outcome.delta, rejected: rejections })
-    }
-
-    /// Runs the batch pipeline under `catch_unwind`, tracking how far it got
-    /// and which graph mutations were issued, and converts an unwind into
-    /// rollback-or-poison (see [`SimulationIndex::contain_batch_panic`]). The
-    /// scoped worker threads of every sharded stage funnel their panics
-    /// through their join handles, so one containment point covers the
-    /// sequential and the fanned-out engines alike.
-    fn apply_batch_contained(
-        &mut self,
-        graph: &mut DataGraph,
-        batch: &BatchUpdate,
-        shards: usize,
-    ) -> Result<ApplyOutcome, ApplyError> {
-        let mut stage = PipelineStage::Prepare;
-        let mut applied: Vec<Update> = Vec::new();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.apply_batch_stages(graph, batch, shards, &mut stage, &mut applied)
-        }));
-        match outcome {
-            Ok(outcome) => Ok(outcome),
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                Err(ApplyError::StagePanicked(
-                    self.contain_batch_panic(graph, stage, &applied, message),
-                ))
-            }
-        }
-    }
-
-    /// The batch pipeline proper — [`SimulationIndex::apply_batch`]'s
-    /// historical body, annotated with the stage transitions and failpoints
-    /// the containment relies on. `stage` is advanced *before* each stage's
-    /// work; `applied` records the graph mutations issued so far (the full
-    /// effective list, recorded before the mutation starts, since a panic can
-    /// land anywhere inside the sharded mutation —
-    /// [`DataGraph::rollback_updates`] tolerates not-yet-applied suffixes).
-    fn apply_batch_stages(
-        &mut self,
-        graph: &mut DataGraph,
-        batch: &BatchUpdate,
-        shards: usize,
-        stage: &mut PipelineStage,
-        applied: &mut Vec<Update>,
-    ) -> ApplyOutcome {
-        let mut stats = AffStats { delta_g: batch.len(), ..AffStats::default() };
-        // Delta tracking starts before any match-bit mutation — including the
-        // childless-pattern matches `ensure_node_capacity` grants brand-new
-        // nodes. Insert-only batches take the monotone fast path: simulation
-        // is monotone in the edge set, so insertions can only promote and the
-        // removal side of the tracker provably stays empty (CALM).
-        let was_match = self.is_match();
-        self.tracker.arm(batch.iter().all(Update::is_insert));
-        // Grow the per-node arrays first (batches carry edge updates only, so
-        // any node growth happened before this call): classification below
-        // must see nodes added since the last index operation as candidates.
-        self.ensure_node_capacity(graph);
-
-        // One plan drives every stage of the batch: reduction, graph
-        // mutation, absorption and the drains all partition by the same
-        // contiguous node ranges.
-        let plan = ShardPlan::new(self.nv, shards);
-
-        // minDelta steps 1 + 2, sharded by update source: drop updates whose
-        // net effect on the graph is nil, and count/collect the updates
-        // relevant to the pattern (ss deletions, cs/cc insertions). The
-        // irrelevant survivors are still applied to the graph and absorbed
-        // into the counters below.
-        *stage = PipelineStage::Reduce;
-        fail::fire(fail::SIM_REDUCE);
-        let reduction = self.min_delta_sharded(graph, batch, plan);
-        stats.reduced_delta_g = reduction.relevant;
-        if reduction.effective.is_empty() {
-            return self.finish_apply(stats, was_match);
-        }
-
-        // Apply the whole (net) batch to the graph before any matching work
-        // so that every support decision sees the final graph. The mutation
-        // runs on the same plan: out-sides sharded by source, in-sides by
-        // target (see [`DataGraph::apply_reduced_batch_sharded`]).
-        *stage = PipelineStage::Mutate;
-        applied.extend_from_slice(&reduction.effective);
-        fail::fire(fail::SIM_MUTATE);
-        graph.apply_reduced_batch_sharded(&reduction.effective, plan);
-
-        // Phase 1 — absorption: absorb every effective edge change into the
-        // counters, sharded by each update's *source* node (the only node
-        // whose counter row an update touches). The match state is untouched
-        // in this phase, so afterwards
-        // `cnt[v][u2] = |children_new(v) ∩ match_old(u2)|` exactly.
-        *stage = PipelineStage::Absorb;
-        fail::fire(fail::SIM_ABSORB);
-        let (demotion_seeds, promotion_seeds) =
-            self.absorb_batch(&reduction.effective, plan, &mut stats);
-
-        // Phase 2 — deletions first (they can only shrink)...
-        if !demotion_seeds.is_empty() {
-            *stage = PipelineStage::Demote;
-            fail::fire(fail::SIM_DEMOTE);
-            self.drain_demotions_sharded(graph, demotion_seeds, plan, &mut stats);
-        }
-        // ...phase 3 — then insertions.
-        let run_cc = self.has_cycle && self.inserted_touches_scc(&reduction.relevant_insertions);
-        if !promotion_seeds.is_empty() || run_cc {
-            *stage = PipelineStage::Promote;
-            fail::fire(fail::SIM_PROMOTE);
-            self.propagate_insertions_sharded(graph, promotion_seeds, run_cc, plan, &mut stats);
-        }
-        self.finish_apply(stats, was_match)
+        incremental::apply_lenient(self, graph, batch, shards)
     }
 
     /// Finalises a batch: converts the tracker's raw match-bit flips into the
@@ -825,41 +696,16 @@ impl SimulationIndex {
         ApplyOutcome { stats, delta }
     }
 
-    /// Converts a mid-batch unwind into the transactional contract. The
-    /// graph is *always* rolled back to its pre-batch edge set (rollback of
-    /// an empty `applied` list is the no-op this needs for the pre-mutation
-    /// stages). The index poisons itself unless the panic landed in a stage
-    /// that provably never touches auxiliary state: `Reduce` is pure reads
-    /// and `Mutate` only mutates the graph — for those the pre-batch masks,
-    /// counters and cached view are still exact after the rollback and the
-    /// index stays usable.
-    #[cold]
-    fn contain_batch_panic(
-        &mut self,
-        graph: &mut DataGraph,
-        stage: PipelineStage,
-        applied: &[Update],
-        message: String,
-    ) -> StagePanic {
-        graph.rollback_updates(applied);
-        self.invalidate_cache();
-        self.tracker.reset();
-        let poisoned = !matches!(stage, PipelineStage::Reduce | PipelineStage::Mutate);
-        self.poisoned = poisoned;
-        StagePanic { stage: stage.label(), message, rolled_back: true, poisoned }
-    }
-
-    /// The pattern-dependent pipeline of one service batch (see
-    /// [`IncrementalEngine::try_apply_shared`]): classify the shared
-    /// net-effective list against the frozen membership masks, then run
-    /// absorption and the drains against the already-mutated graph.
+    /// The pattern-dependent pipeline of one batch (see
+    /// [`IncrementalEngine::try_apply_shared`]): classify the net-effective
+    /// list against the frozen membership masks — the per-pattern half of
+    /// `minDelta` — then run absorption and the drains against the
+    /// already-mutated graph.
     ///
     /// Classification ([`is_ss_edge`]/[`is_cs_or_cc_edge`]) reads only the
     /// masks — never graph adjacency — and the masks are still pre-batch at
-    /// this point, so running it *after* the shared graph mutation yields
-    /// exactly the relevance verdicts the single-engine `minDelta` computes
-    /// before mutating; everything downstream is the single-engine pipeline
-    /// verbatim, which already runs post-mutation.
+    /// this point, so running it *after* the graph mutation yields exactly
+    /// the relevance verdicts of classifying before it.
     fn apply_shared_stages(
         &mut self,
         graph: &DataGraph,
@@ -868,39 +714,61 @@ impl SimulationIndex {
         stage: &mut PipelineStage,
     ) -> ApplyOutcome {
         let mut stats = AffStats { delta_g: batch.batch_len, ..AffStats::default() };
+        // Delta tracking starts before any match-bit mutation — including the
+        // childless-pattern matches `ensure_node_capacity` grants brand-new
+        // nodes. Insert-only batches take the monotone fast path: simulation
+        // is monotone in the edge set, so insertions can only promote and the
+        // removal side of the tracker provably stays empty (CALM).
         let was_match = self.is_match();
         self.tracker.arm(batch.monotone);
+        // Grow the per-node arrays first (batches carry edge updates only, so
+        // any node growth happened before this batch): classification below
+        // must see nodes added since the last index operation as candidates.
         self.ensure_node_capacity(graph);
+        // One plan drives absorption and the drains.
         let plan = ShardPlan::new(self.nv, shards);
-
-        // The per-pattern half of minDelta: the net-effect half already ran
-        // once service-wide; what remains is the relevance classification.
-        *stage = PipelineStage::Reduce;
-        fail::fire(fail::SIM_REDUCE);
-        let mut reduction = MinDeltaReduction::default();
-        for update in batch.effective {
-            let (a, b) = update.endpoints();
-            let relevant = match update {
-                Update::DeleteEdge { .. } => is_ss_edge(&self.masks, &self.child_mask, a, b),
-                Update::InsertEdge { .. } => is_cs_or_cc_edge(&self.masks, &self.child_mask, a, b),
-            };
-            reduction.push(*update, relevant);
-        }
-        stats.reduced_delta_g = reduction.relevant;
-        if reduction.effective.is_empty() {
+        if batch.effective.is_empty() {
             return self.finish_apply(stats, was_match);
         }
 
+        // Pattern relevance (ss deletions, cs/cc insertions). The irrelevant
+        // updates are still absorbed into the counters below.
+        let mut relevant_insertions: Vec<(NodeId, NodeId)> = Vec::new();
+        for update in batch.effective {
+            let (a, b) = update.endpoints();
+            match update {
+                Update::DeleteEdge { .. } => {
+                    if is_ss_edge(&self.masks, &self.child_mask, a, b) {
+                        stats.reduced_delta_g += 1;
+                    }
+                }
+                Update::InsertEdge { .. } => {
+                    if is_cs_or_cc_edge(&self.masks, &self.child_mask, a, b) {
+                        stats.reduced_delta_g += 1;
+                        relevant_insertions.push((a, b));
+                    }
+                }
+            }
+        }
+
+        // Phase 1 — absorption: absorb every effective edge change into the
+        // counters, sharded by each update's *source* node (the only node
+        // whose counter row an update touches). The match state is untouched
+        // in this phase, so afterwards
+        // `cnt[v][u2] = |children_new(v) ∩ match_old(u2)|` exactly.
         *stage = PipelineStage::Absorb;
         fail::fire(fail::SIM_ABSORB);
         let (demotion_seeds, promotion_seeds) =
-            self.absorb_batch(&reduction.effective, plan, &mut stats);
+            self.absorb_batch(batch.effective, plan, &mut stats);
+
+        // Phase 2 — deletions first (they can only shrink)...
         if !demotion_seeds.is_empty() {
             *stage = PipelineStage::Demote;
             fail::fire(fail::SIM_DEMOTE);
             self.drain_demotions_sharded(graph, demotion_seeds, plan, &mut stats);
         }
-        let run_cc = self.has_cycle && self.inserted_touches_scc(&reduction.relevant_insertions);
+        // ...phase 3 — then insertions.
+        let run_cc = self.has_cycle && self.inserted_touches_scc(&relevant_insertions);
         if !promotion_seeds.is_empty() || run_cc {
             *stage = PipelineStage::Promote;
             fail::fire(fail::SIM_PROMOTE);
@@ -908,89 +776,6 @@ impl SimulationIndex {
         }
         self.finish_apply(stats, was_match)
     }
-
-    /// Converts a contained panic of the service-mode pipeline into the
-    /// always-poison contract of [`IncrementalEngine::try_apply_shared`].
-    /// The shared graph mutation is already committed service-wide, so there
-    /// is nothing to roll back — and even a panic in the read-only
-    /// classification stage leaves this engine *behind* the graph (its
-    /// auxiliary state never absorbed the committed batch), which is exactly
-    /// what poisoning expresses. Recovery rebuilds from the current graph.
-    #[cold]
-    fn contain_shared_panic(&mut self, stage: PipelineStage, message: String) -> StagePanic {
-        self.invalidate_cache();
-        self.tracker.reset();
-        self.poisoned = true;
-        StagePanic { stage: stage.label(), message, rolled_back: false, poisoned: true }
-    }
-
-    /// `minDelta` (Fig. 10 lines 1-2) as a sharded two-pass reduction.
-    ///
-    /// Pass 1 partitions the batch by each update's **source** node — all
-    /// updates touching an edge share its source, so each shard can net its
-    /// own edges' effects against the pre-batch graph independently
-    /// ([`net_effective_updates`]) and classify the survivors against the
-    /// (frozen) membership masks in the same sweep. Pass 2 is a
-    /// deterministic merge: survivors are ordered by the position at which
-    /// the batch *first touched* their edge, which is exactly the order the
-    /// sequential reduction emits — so the effective list, the relevance
-    /// count ([`AffStats::reduced_delta_g`]) and the relevant-insertion list
-    /// are bit-identical for every shard count, and one shard is the literal
-    /// sequential reduction.
-    fn min_delta_sharded(
-        &self,
-        graph: &DataGraph,
-        batch: &BatchUpdate,
-        plan: ShardPlan,
-    ) -> MinDeltaReduction {
-        let child_mask = &self.child_mask;
-        let classify = move |masks: &[NodeMasks], update: &Update| {
-            let (a, b) = update.endpoints();
-            match update {
-                Update::DeleteEdge { .. } => is_ss_edge(masks, child_mask, a, b),
-                Update::InsertEdge { .. } => is_cs_or_cc_edge(masks, child_mask, a, b),
-            }
-        };
-        // Inline fast path: one shard, or too little work to pay for spawns.
-        if plan.count == 1 || batch.len() < PARALLEL_WORK_THRESHOLD {
-            let (effective, _) = reduce_batch(graph, batch);
-            let mut reduction = MinDeltaReduction::default();
-            for update in effective {
-                let relevant = classify(&self.masks, &update);
-                reduction.push(update, relevant);
-            }
-            return reduction;
-        }
-
-        let mut per_shard: Vec<Vec<(u32, Update)>> = vec![Vec::new(); plan.count];
-        for (pos, &update) in batch.iter().enumerate() {
-            per_shard[plan.owner(update.endpoints().0.index())].push((pos as u32, update));
-        }
-        let masks = &self.masks;
-        let mut merged: Vec<(u32, Update, bool)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = per_shard
-                .into_iter()
-                .map(|slice| {
-                    scope.spawn(move || {
-                        net_effective_updates(graph, &slice)
-                            .into_iter()
-                            .map(|(pos, update)| (pos, update, classify(masks, &update)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("minDelta shard panicked")).collect()
-        });
-        // Deterministic merge: ascending first-touch position reproduces the
-        // sequential reduction's output order exactly.
-        merged.sort_unstable_by_key(|&(pos, _, _)| pos);
-        let mut reduction = MinDeltaReduction::default();
-        for (_, update, relevant) in merged {
-            reduction.push(update, relevant);
-        }
-        reduction
-    }
-
     // ------------------------------------------------------------------
     // Edge classification (Table II) — word ops over the membership masks
     // ------------------------------------------------------------------
@@ -1598,34 +1383,10 @@ impl SimulationIndex {
 /// Demotion/promotion seed: `(pattern node, data node)`.
 type Seed = (u32, u32);
 
-/// Output of the `minDelta` reduction: the net-effective updates in
-/// first-touch order, how many of them are pattern-relevant (ss deletions or
-/// cs/cc insertions — [`AffStats::reduced_delta_g`]), and the relevant
-/// insertions themselves (the `propCC` trigger inputs).
-#[derive(Default)]
-struct MinDeltaReduction {
-    effective: Vec<Update>,
-    relevant: usize,
-    relevant_insertions: Vec<(NodeId, NodeId)>,
-}
-
-impl MinDeltaReduction {
-    fn push(&mut self, update: Update, relevant: bool) {
-        if relevant {
-            self.relevant += 1;
-            if update.is_insert() {
-                let (a, b) = update.endpoints();
-                self.relevant_insertions.push((a, b));
-            }
-        }
-        self.effective.push(update);
-    }
-}
-
 /// True if `(from, to)` is an ss edge for some pattern edge: both endpoints
 /// currently match the edge's endpoints (Table II). Free function so the
-/// sharded `minDelta` pass can classify on worker threads without capturing
-/// the index (whose lazy match cache is not `Sync`).
+/// batch classification can borrow the masks apart from the rest of the
+/// index.
 fn is_ss_edge(masks: &[NodeMasks], child_mask: &[u64], from: NodeId, to: NodeId) -> bool {
     let (Some(fm), Some(tm)) = (masks.get(from.index()), masks.get(to.index())) else {
         return false;
@@ -2354,21 +2115,18 @@ impl IncrementalEngine for SimulationIndex {
         self.pattern()
     }
 
-    fn try_apply_batch_with_shards(
-        &mut self,
-        graph: &mut DataGraph,
-        batch: &BatchUpdate,
-        shards: usize,
-    ) -> Result<ApplyOutcome, ApplyError> {
-        SimulationIndex::try_apply_batch_with_shards(self, graph, batch, shards)
-    }
-
     fn try_matches(&self) -> Result<MatchRelation, ApplyError> {
         SimulationIndex::try_matches(self)
     }
 
     fn poisoned(&self) -> bool {
         SimulationIndex::poisoned(self)
+    }
+
+    fn poison(&mut self) {
+        self.invalidate_cache();
+        self.tracker.reset();
+        self.poisoned = true;
     }
 
     /// Plain simulation needs no graph-wide auxiliary structure: candidate
@@ -2381,6 +2139,16 @@ impl IncrementalEngine for SimulationIndex {
     fn shared_stage() -> &'static str {
         PipelineStage::Mutate.label()
     }
+
+    fn reduce_failpoint() -> &'static str {
+        fail::SIM_REDUCE
+    }
+
+    fn take_shared(&mut self) {}
+
+    /// There is nothing to tear, so even a torn hand-back leaves the index
+    /// usable: the graph rollback restores everything the batch touched.
+    fn restore_shared(&mut self, _shared: Option<()>) {}
 
     fn shared_mutate(
         _shared: &mut (),
@@ -2419,20 +2187,9 @@ impl IncrementalEngine for SimulationIndex {
         _mutation: &SharedMutation,
         shards: usize,
     ) -> Result<ApplyOutcome, ApplyError> {
-        if self.poisoned {
-            return Err(ApplyError::Poisoned);
-        }
-        let mut stage = PipelineStage::Prepare;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.apply_shared_stages(graph, batch, shards, &mut stage)
-        }));
-        match outcome {
-            Ok(outcome) => Ok(outcome),
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                Err(ApplyError::StagePanicked(self.contain_shared_panic(stage, message)))
-            }
-        }
+        contain_pattern_panic(self, |index, stage| {
+            index.apply_shared_stages(graph, batch, shards, stage)
+        })
     }
 }
 

@@ -30,21 +30,27 @@
 //!
 //! # Failure model
 //!
-//! A panic inside the shared stage (graph mutation / landmark maintenance)
-//! rolls the graph back and rebuilds the shared state from the rolled-back
-//! graph; no engine has been touched, so the service keeps serving every
-//! pattern. A panic inside one pattern's pipeline poisons **that pattern
-//! only** ([`ApplyError::StagePanicked`] in its outcome slot, subsequent
-//! reads return [`ApplyError::Poisoned`]); the graph and every other pattern
-//! have already committed the batch, and [`MatchService::recover`] rebuilds
-//! the one poisoned index from the current graph.
+//! The service runs the same batch pipeline as a standalone engine (see
+//! [`crate::incremental`]): its service-wide half — planning, the net-effect
+//! reduction, the graph mutation and the shared auxiliary maintenance — is
+//! contained as one unit. A panic there refuses the batch
+//! ([`ServiceError::Apply`] with [`ApplyError::StagePanicked`], stage
+//! `"reduce"`, `"mutate"` or `"landmark"`): the graph is rolled back, a
+//! shared state the mutation may have torn is rebuilt from the rolled-back
+//! graph, no engine has been touched, and the service keeps serving every
+//! pattern at the pre-batch epoch. A panic inside one pattern's pipeline
+//! poisons **that pattern only** ([`ApplyError::StagePanicked`] in its
+//! outcome slot, subsequent reads return [`ApplyError::Poisoned`]); the
+//! graph and every other pattern have already committed the batch, and
+//! [`MatchService::recover`] rebuilds the one poisoned index from the
+//! current graph.
 
 use crate::incremental::{
-    panic_message, ApplyOutcome, BuildError, IncrementalEngine, SharedBatch, SharedMutation,
+    reduce_and_mutate, ApplyOutcome, BuildError, IncrementalEngine, SharedBatch,
 };
 use crate::simulation::candidates_for_predicate;
-use igpm_graph::shard::{configured_shards, ShardPlan};
-use igpm_graph::update::{reduce_batch_sharded, validate_batch, StagePanic};
+use igpm_graph::shard::configured_shards;
+use igpm_graph::update::validate_batch;
 use igpm_graph::{
     ApplyError, Attributes, BatchUpdate, DataGraph, FastHashMap, LabelIndex, MatchRelation, NodeId,
     Pattern, Predicate, Update,
@@ -52,7 +58,6 @@ use igpm_graph::{
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Stable handle to a pattern registered with a [`MatchService`].
@@ -325,40 +330,38 @@ impl<E: IncrementalEngine> MatchService<E> {
         if !rejections.is_empty() {
             return Err(ServiceError::Apply(ApplyError::InvalidBatch(rejections)));
         }
-        let monotone = batch.iter().all(Update::is_insert);
-        let plan = ShardPlan::new(self.graph.node_count(), self.shards);
-        let (effective, _) = reduce_batch_sharded(&self.graph, batch, plan);
+        self.apply_validated(batch)
+    }
 
-        let mutation = if effective.is_empty() {
-            SharedMutation::default()
-        } else {
-            let shared = &mut self.shared;
-            let graph = &mut self.graph;
-            let shards = self.shards;
-            match catch_unwind(AssertUnwindSafe(|| {
-                E::shared_mutate(shared, graph, &effective, shards)
-            })) {
-                Ok(mutation) => mutation,
-                Err(payload) => {
-                    let message = panic_message(payload.as_ref());
-                    // The shared stage may have partially mutated the graph
-                    // and torn the shared auxiliary state — but no engine
-                    // has run yet. Roll the graph back and rebuild the
-                    // shared state from it: the service keeps serving every
-                    // pattern at the pre-batch epoch.
-                    self.graph.rollback_updates(&effective);
-                    self.shared = E::shared_build(&self.graph, self.shards);
-                    return Err(ServiceError::Apply(ApplyError::StagePanicked(StagePanic {
-                        stage: E::shared_stage(),
-                        message,
-                        rolled_back: true,
-                        poisoned: false,
-                    })));
+    /// [`MatchService::apply`] after validation — the entry the durable
+    /// tier calls once its own validation (which guards the WAL append)
+    /// has passed.
+    pub(crate) fn apply_validated(
+        &mut self,
+        batch: &BatchUpdate,
+    ) -> Result<ServiceApply, ServiceError> {
+        let (effective, mutation) =
+            match reduce_and_mutate::<E>(&mut self.shared, &mut self.graph, batch, self.shards) {
+                Ok(done) => done,
+                Err(failure) => {
+                    // The graph is rolled back and no engine has run yet: a
+                    // torn shared state is rebuilt from the rolled-back graph
+                    // and the service keeps serving every pattern at the
+                    // pre-batch epoch.
+                    if failure.tore_shared() {
+                        self.shared = E::shared_build(&self.graph, self.shards);
+                    }
+                    return Err(ServiceError::Apply(ApplyError::StagePanicked(
+                        failure.report::<E>(false),
+                    )));
                 }
-            }
-        };
+            };
 
-        let shared_batch = SharedBatch { batch_len: batch.len(), monotone, effective: &effective };
+        let shared_batch = SharedBatch {
+            batch_len: batch.len(),
+            monotone: batch.iter().all(Update::is_insert),
+            effective: &effective,
+        };
         let mut outcomes = BTreeMap::new();
         for (idx, slot) in self.slots.iter_mut().enumerate() {
             let Some(slot) = slot else { continue };

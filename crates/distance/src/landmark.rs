@@ -35,8 +35,10 @@ pub enum LandmarkSelection {
     Explicit(Vec<NodeId>),
 }
 
-/// Landmark vector plus per-landmark distance rows.
-#[derive(Debug, Clone)]
+/// Landmark vector plus per-landmark distance rows. The [`Default`] value is
+/// the empty index (no landmarks, no nodes), free to build — a placeholder
+/// for an index moved out elsewhere.
+#[derive(Debug, Clone, Default)]
 pub struct LandmarkIndex {
     landmarks: Vec<NodeId>,
     position: FastHashMap<NodeId, usize>,

@@ -901,6 +901,7 @@ fn contained_engine_panic_after_logging_reconciles_from_disk() {
 /// created on disk — no half-initialised directory, no silent clamp.
 #[test]
 fn degenerate_durable_options_are_rejected_at_open() {
+    let _guard = serial();
     let pattern = cycle_pattern();
     let initial = seed_world(8);
 
@@ -977,6 +978,7 @@ fn degenerate_durable_options_are_rejected_at_open() {
 /// auto-checkpoints, and still honours the manual call.
 #[test]
 fn checkpoint_every_zero_only_disables_automatic_checkpoints() {
+    let _guard = serial();
     let pattern = cycle_pattern();
     let initial = seed_world(10);
     let mut rng = Rng(0xCE00);

@@ -18,15 +18,19 @@
 //!   recomputation);
 //! * one pattern poisoned by an injected pipeline panic while every other
 //!   pattern keeps serving the same batch, and per-pattern recovery;
+//! * a panic in the once-per-batch reduction refusing the batch for every
+//!   pattern, poisoning none, and a retry landing on the unarmed control;
 //! * the durable service: WAL-once logging, crash → reopen → bit-identical
 //!   state, pattern-keyed replay re-emission, subscription lag.
 //!
-//! The failpoint registry is process-global, so the poison tests serialise
-//! on one mutex and run with a muted panic hook (like `fault_injection.rs`).
+//! The failpoint registry is process-global, so every test serialises on one
+//! mutex (an unlocked test could otherwise trip, or use up, a site another
+//! test armed) and the poison tests run with a muted panic hook (like
+//! `fault_injection.rs`).
 
 use igpm::core::{
-    match_simulation, ApplyError, BoundedIndex, DurableMatchService, DurableOptions, MatchService,
-    PatternId, ServiceDeltaEvent, ServiceError, SimulationIndex,
+    match_simulation, ApplyError, BoundedIndex, DurableMatchService, DurableOptions,
+    IncrementalEngine, MatchService, PatternId, ServiceDeltaEvent, ServiceError, SimulationIndex,
 };
 use igpm::graph::fail;
 use igpm::graph::wal::FsyncPolicy;
@@ -150,6 +154,7 @@ fn assert_outcome_eq(
 /// stream identical across shard counts.
 #[test]
 fn sim_service_is_bit_identical_to_independent_indexes() {
+    let _guard = serial();
     let base = synthetic_graph(&SyntheticConfig::new(260, 950, 4, 0x9101));
     let patterns = normal_pattern_pool(&base, 8, 0x9102);
     const ROUNDS: usize = 12;
@@ -221,6 +226,7 @@ fn sim_service_is_bit_identical_to_independent_indexes() {
 /// included.
 #[test]
 fn bsim_service_is_bit_identical_to_independent_indexes() {
+    let _guard = serial();
     let base = synthetic_graph(&SyntheticConfig::new(150, 520, 4, 0xB101));
     let patterns = bounded_pattern_pool();
     const ROUNDS: usize = 10;
@@ -289,6 +295,7 @@ fn bsim_service_is_bit_identical_to_independent_indexes() {
 /// matches from its first batch on.
 #[test]
 fn deregistration_and_midstream_registration_churn() {
+    let _guard = serial();
     let base = synthetic_graph(&SyntheticConfig::new(180, 650, 4, 0xC101));
     let patterns = normal_pattern_pool(&base, 8, 0xC102);
     let mut svc: MatchService<SimulationIndex> = MatchService::with_shards(base, 3);
@@ -427,10 +434,88 @@ fn poisoned_pattern_leaves_every_other_pattern_serving() {
     assert!(apply.outcomes.values().all(Result::is_ok));
 }
 
+/// A panic in the once-per-batch net-effect reduction (`sim.reduce` /
+/// `bsim.reduce`, armed once) refuses the batch service-wide: a typed
+/// `StagePanicked { stage: "reduce", poisoned: false }`, the graph still
+/// pre-batch, no pattern poisoned and every view unchanged — and retrying
+/// the batch lands exactly where an unarmed control service does.
+fn reduce_panic_refuses_the_batch<E: IncrementalEngine>(
+    site: &str,
+    base: &DataGraph,
+    patterns: &[Pattern],
+    seed: u64,
+) {
+    for shards in [1usize, 4] {
+        let context = format!("site `{site}`, shards {shards}");
+        let mut svc: MatchService<E> = MatchService::with_shards(base.clone(), shards);
+        let mut control: MatchService<E> = MatchService::with_shards(base.clone(), shards);
+        let ids: Vec<PatternId> =
+            patterns.iter().map(|p| svc.register(p).expect("register")).collect();
+        for p in patterns {
+            control.register(p).expect("register control");
+        }
+        let warmup = mixed_batch(svc.graph(), 25, 25, seed);
+        svc.apply(&warmup).expect("warm-up");
+        control.apply(&warmup).expect("control warm-up");
+
+        let batch = mixed_batch(svc.graph(), 25, 25, seed + 1);
+        let pre_graph = svc.graph().clone();
+        let pre_views: Vec<MatchRelation> =
+            ids.iter().map(|id| (*svc.matches(*id).expect("view")).clone()).collect();
+        let refused = with_muted_hook(|| {
+            fail::arm_once(site);
+            svc.apply(&batch)
+        });
+        assert!(!fail::armed(site), "{context}: arm_once must self-disarm after firing");
+        match refused {
+            Err(ServiceError::Apply(ApplyError::StagePanicked(panic))) => {
+                assert_eq!(panic.stage, "reduce", "{context}");
+                assert!(!panic.poisoned, "{context}: a reduce panic poisons nothing");
+                assert!(panic.rolled_back, "{context}: the graph stays pre-batch");
+            }
+            other => panic!("{context}: expected a refused batch, got {other:?}"),
+        }
+        assert_eq!(*svc.graph(), pre_graph, "{context}: graph must equal the pre-batch graph");
+        assert_eq!(svc.epoch(), control.epoch(), "{context}: a refused batch commits no epoch");
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!svc.poisoned(*id).expect("poisoned query"), "{context}: pattern {i} poisoned");
+            assert_eq!(*svc.matches(*id).expect("view"), pre_views[i], "{context}: pattern {i}");
+        }
+
+        // The retry equals the unarmed control, outcome for outcome.
+        let retried = svc.apply(&batch).expect("retry");
+        let expected = control.apply(&batch).expect("control apply");
+        assert_eq!(retried.epoch, expected.epoch, "{context}");
+        assert_eq!(*svc.graph(), *control.graph(), "{context}: graph diverged from control");
+        for (i, id) in ids.iter().enumerate() {
+            let outcome = retried.outcomes[id].as_ref().expect("retried outcome");
+            let control_outcome = expected.outcomes[id].as_ref().expect("control outcome");
+            assert_outcome_eq(outcome, control_outcome, &format!("{context}, pattern {i}"));
+            assert_eq!(
+                *svc.matches(*id).expect("view"),
+                *control.matches(*id).expect("control view"),
+                "{context}: pattern {i} view diverged from control"
+            );
+        }
+    }
+}
+
+#[test]
+fn reduce_panic_refuses_the_batch_for_both_engines() {
+    let _guard = serial();
+    let base = synthetic_graph(&SyntheticConfig::new(140, 500, 4, 0xC301));
+    let patterns = normal_pattern_pool(&base, 6, 0xC302);
+    reduce_panic_refuses_the_batch::<SimulationIndex>(fail::SIM_REDUCE, &base, &patterns, 0xC310);
+    let base = synthetic_graph(&SyntheticConfig::new(120, 420, 4, 0xC401));
+    let patterns = bounded_pattern_pool();
+    reduce_panic_refuses_the_batch::<BoundedIndex>(fail::BSIM_REDUCE, &base, &patterns, 0xC410);
+}
+
 /// The acceptance-floor case: ≥256 registered patterns, bit-identical to 256
 /// independent indexes for every shard count — statistics, deltas and views.
 #[test]
 fn service_with_256_patterns_matches_256_independent_indexes() {
+    let _guard = serial();
     let base = synthetic_graph(&SyntheticConfig::new(130, 430, 4, 0xE101));
     let patterns = normal_pattern_pool(&base, 256, 0xE102);
     const ROUNDS: usize = 4;
@@ -633,6 +718,7 @@ fn durable_service_recovers_shared_stage_panic_from_the_log() {
 /// (counted in batches) and then a live stream again.
 #[test]
 fn durable_service_subscription_lags_explicitly() {
+    let _guard = serial();
     let base = synthetic_graph(&SyntheticConfig::new(90, 280, 3, 0xF601));
     let patterns = normal_pattern_pool(&base, 2, 0xF602);
     let scratch = Scratch::new("lag");
@@ -672,6 +758,7 @@ fn durable_service_subscription_lags_explicitly() {
 /// through the durability boundary too).
 #[test]
 fn durable_bounded_service_round_trips() {
+    let _guard = serial();
     let base = synthetic_graph(&SyntheticConfig::new(100, 340, 4, 0xF801));
     let patterns: Vec<Pattern> = bounded_pattern_pool().into_iter().take(3).collect();
     let scratch = Scratch::new("bounded");
